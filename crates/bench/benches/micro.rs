@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use cellfi_core::sensing::CqiInterferenceDetector;
 use cellfi_lte::amc::CqiTable;
-use cellfi_lte::scheduler::{Scheduler, SchedulerKind, UeDemand};
+use cellfi_lte::scheduler::{Scheduler, SchedulerKind};
 use cellfi_propagation::antenna::Antenna;
 use cellfi_propagation::fading::BlockFading;
 use cellfi_propagation::link::{LinkEnd, RadioEnvironment, Transmission};
@@ -80,17 +80,19 @@ fn bench_amc(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let demands: Vec<UeDemand> = (0..6)
-        .map(|u| UeDemand {
-            ue: UeId::new(u),
-            backlog_bits: 1_000_000,
-            rate_per_subchannel: (0..13).map(|s| 500.0 + f64::from(s * u)).collect(),
-        })
+    let ues: Vec<UeId> = (0..6).map(UeId::new).collect();
+    let backlog = vec![1_000_000u64; 6];
+    let rates: Vec<Vec<f64>> = (0..6u32)
+        .map(|u| (0..13u32).map(|s| 500.0 + f64::from(s * u)).collect())
         .collect();
     let allowed = vec![true; 13];
+    let mut out = vec![None; 13];
     c.bench_function("micro/pf_allocate_6ue_13sc", |b| {
         let mut s = Scheduler::new(SchedulerKind::ProportionalFair);
-        b.iter(|| black_box(s.allocate(&allowed, &demands)))
+        b.iter(|| {
+            s.allocate(&ues, &backlog, &allowed, |i, sc| rates[i][sc], &mut out);
+            black_box(out[0])
+        })
     });
 }
 

@@ -8,8 +8,9 @@
 //!
 //! * **`parallel`** — byte-identical replay across `CELLFI_THREADS`.
 //!   Closures passed to the `parallel::for_each_chunk` /
-//!   `for_each_row` / `map_indexed` fan-outs must not mutate captured
-//!   state (cross-chunk writes alias between workers) or reach for
+//!   `for_each_row` / `for_each_row_zip` / `map_indexed` fan-outs must
+//!   not mutate captured state (cross-chunk writes alias between
+//!   workers) or reach for
 //!   scheduling-dependent synchronization (`Mutex`, atomics,
 //!   `unsafe`); trace events inside them must go through a forked
 //!   per-entity sink, and a fn that forks sinks must absorb them back
@@ -48,7 +49,12 @@ use std::collections::BTreeMap;
 
 /// The deterministic fan-out helpers whose worker closures the
 /// `parallel` rule audits (see `crates/sim/src/parallel.rs`).
-const FAN_OUT: &[&str] = &["for_each_chunk", "for_each_row", "map_indexed"];
+const FAN_OUT: &[&str] = &[
+    "for_each_chunk",
+    "for_each_row",
+    "for_each_row_zip",
+    "map_indexed",
+];
 
 /// Identifiers that imply scheduling-dependent shared state inside a
 /// fan-out closure. `Atomic*` is matched by prefix.

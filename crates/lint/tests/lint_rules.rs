@@ -392,6 +392,28 @@ fn parallel_accepts_chunk_local_writes_and_locals() {
 }
 
 #[test]
+fn parallel_audits_zipped_row_fanouts_like_plain_rows() {
+    let f = lint_core(
+        "fn s(rows: &mut [Cell], out: &mut [u32], hits: &mut Vec<u32>) {\n\
+         \x20   for_each_row_zip(rows, out, 64, |c, cell, row| {\n\
+         \x20       hits.push(c as u32);\n\
+         \x20       row[0] = cell.id;\n\
+         \x20   });\n\
+         }\n",
+    );
+    assert_eq!(rules(&f), ["parallel"], "{f:?}");
+    let f = lint_core(
+        "fn s(rows: &mut [Cell], out: &mut [u32]) {\n\
+         \x20   for_each_row_zip(rows, out, 64, |_c, cell, row| {\n\
+         \x20       cell.touch();\n\
+         \x20       row[0] = cell.id;\n\
+         \x20   });\n\
+         }\n",
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn parallel_flags_sync_primitives_in_fanout_closures() {
     let f = lint_core(
         "fn s(rows: &mut [f64], n: &AtomicU64) {\n\

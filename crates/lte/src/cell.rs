@@ -11,13 +11,12 @@
 
 use crate::earfcn::Earfcn;
 use crate::grid::{ChannelBandwidth, ResourceGrid};
-use crate::scheduler::{Allocation, Scheduler, SchedulerKind, UeDemand};
+use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sib::SystemInformation;
 use crate::tdd::TddConfig;
 use cellfi_types::time::Instant;
 use cellfi_types::units::Dbm;
 use cellfi_types::{ApId, UeId};
-use std::collections::BTreeMap;
 
 /// Static configuration of one cell.
 #[derive(Debug, Clone)]
@@ -60,8 +59,9 @@ pub struct Cell {
     scheduler: Scheduler,
     sib: Option<SystemInformation>,
     attached: Vec<UeId>,
-    /// Downlink queue per UE, bits. BTreeMap for deterministic iteration.
-    queues: BTreeMap<UeId, u64>,
+    /// Downlink queue per UE, bits: `queues[i]` belongs to `attached[i]`,
+    /// so the scheduler reads the backlog as one slice.
+    queues: Vec<u64>,
     /// Interference-management mask: which subchannels may be scheduled.
     allowed: Vec<bool>,
 }
@@ -77,7 +77,7 @@ impl Cell {
             config,
             sib: None,
             attached: Vec::new(),
-            queues: BTreeMap::new(),
+            queues: Vec::new(),
             allowed: vec![true; n],
         }
     }
@@ -125,14 +125,16 @@ impl Cell {
         assert!(self.radio_on(), "cannot attach to a cell with radio off");
         if !self.attached.contains(&ue) {
             self.attached.push(ue);
-            self.queues.entry(ue).or_insert(0);
+            self.queues.push(0);
         }
     }
 
     /// Detach a UE.
     pub fn detach(&mut self, ue: UeId) {
-        self.attached.retain(|&u| u != ue);
-        self.queues.remove(&ue);
+        if let Some(i) = self.slot(ue) {
+            self.attached.remove(i);
+            self.queues.remove(i);
+        }
         self.scheduler.forget(ue);
     }
 
@@ -141,24 +143,29 @@ impl Cell {
         &self.attached
     }
 
+    /// Position of `ue` in attach order, if attached.
+    fn slot(&self, ue: UeId) -> Option<usize> {
+        self.attached.iter().position(|&u| u == ue)
+    }
+
     /// Number of *active* clients: attached UEs with queued traffic. This
     /// is the `N_i` of the share calculation (§5.2).
     pub fn active_clients(&self) -> usize {
-        self.attached
-            .iter()
-            .filter(|u| self.queues.get(u).copied().unwrap_or(0) > 0)
-            .count()
+        self.queues.iter().filter(|&&q| q > 0).count()
     }
 
     /// Enqueue downlink data for a UE (bits).
     pub fn enqueue(&mut self, ue: UeId, bits: u64) {
-        assert!(self.attached.contains(&ue), "enqueue for unattached {ue}");
-        *self.queues.get_mut(&ue).expect("attached UEs have queues") += bits;
+        let i = self.slot(ue);
+        assert!(i.is_some(), "enqueue for unattached {ue}");
+        if let Some(i) = i {
+            self.queues[i] += bits;
+        }
     }
 
     /// Bits queued for a UE.
     pub fn queued_bits(&self, ue: UeId) -> u64 {
-        self.queues.get(&ue).copied().unwrap_or(0)
+        self.slot(ue).map_or(0, |i| self.queues[i])
     }
 
     /// Total queued bits. Saturating: experiment harnesses backlog every
@@ -166,7 +173,7 @@ impl Cell {
     /// backlogged clients sums past `u64::MAX`; callers only compare the
     /// total against zero, and a saturated total cannot reach zero.
     pub fn total_queued_bits(&self) -> u64 {
-        self.queues.values().fold(0u64, |a, &b| a.saturating_add(b))
+        self.queues.iter().fold(0u64, |a, &b| a.saturating_add(b))
     }
 
     /// Install the interference-management subchannel mask.
@@ -184,34 +191,30 @@ impl Cell {
         &self.allowed
     }
 
-    /// Run the scheduler for one downlink subframe. `rates[i][s]` is the
-    /// achievable bits for attached UE `i` (attach order) on subchannel
-    /// `s` this subframe, as derived from its latest CQI report by the
-    /// caller (the system engine owns SINR computation).
-    pub fn schedule_downlink(&mut self, rates: &[Vec<f64>]) -> Allocation {
-        assert_eq!(rates.len(), self.attached.len(), "one rate row per UE");
-        let demands: Vec<UeDemand> = self
-            .attached
-            .iter()
-            .zip(rates)
-            .map(|(&ue, r)| UeDemand {
-                ue,
-                backlog_bits: self.queued_bits(ue),
-                rate_per_subchannel: r.clone(),
-            })
-            .collect();
-        self.scheduler.allocate(&self.allowed, &demands)
+    /// Run the scheduler for one downlink subframe over the attached
+    /// UEs, their queues and the allowed mask. `rate(ue, s)` is the
+    /// achievable bits for `ue` on subchannel `s` this subframe, as
+    /// derived from its latest CQI report by the caller (the system
+    /// engine owns SINR computation); `out[s]` receives the UE scheduled
+    /// on subchannel `s`, if any.
+    // cellfi-lint: hot
+    pub fn schedule(&mut self, rate: impl Fn(UeId, usize) -> f64, out: &mut [Option<UeId>]) {
+        let attached = &self.attached;
+        self.scheduler.allocate(
+            attached,
+            &self.queues,
+            &self.allowed,
+            |i, s| rate(attached[i], s),
+            out,
+        );
     }
 
     /// Record delivery of `bits` to `ue` (dequeues and feeds the PF
     /// average). Returns the bits actually drained (≤ queue depth).
     pub fn deliver(&mut self, ue: UeId, bits: u64) -> u64 {
-        let q = self
-            .queues
-            .get_mut(&ue)
-            .expect("delivery only targets attached UEs");
-        let drained = bits.min(*q);
-        *q -= drained;
+        let i = self.slot(ue).expect("delivery only targets attached UEs");
+        let drained = bits.min(self.queues[i]);
+        self.queues[i] -= drained;
         self.scheduler.record_served(ue, drained as f64);
         drained
     }
@@ -313,10 +316,10 @@ mod tests {
         mask[3] = true;
         mask[7] = true;
         c.set_allowed_mask(mask);
-        let rates = vec![vec![100.0; n]];
-        let alloc = c.schedule_downlink(&rates);
-        assert_eq!(alloc.used_count(), 2);
-        assert!(alloc.assignment[3].is_some() && alloc.assignment[7].is_some());
+        let mut alloc = vec![None; n];
+        c.schedule(|_, _| 100.0, &mut alloc);
+        assert_eq!(alloc.iter().filter(|a| a.is_some()).count(), 2);
+        assert!(alloc[3].is_some() && alloc[7].is_some());
     }
 
     #[test]
@@ -341,5 +344,143 @@ mod tests {
         c.detach(UeId::new(1));
         assert_eq!(c.queued_bits(UeId::new(1)), 0);
         assert!(c.attached_ues().is_empty());
+    }
+
+    /// The Vec-backed queues and PF averages checked against the
+    /// `BTreeMap` layout they replace, over random operation sequences.
+    mod reference_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The pre-flattening state: queues and PF averages keyed by UE.
+        #[derive(Default)]
+        struct Model {
+            radio_on: bool,
+            attached: Vec<UeId>,
+            queues: BTreeMap<UeId, u64>,
+            avg: BTreeMap<UeId, f64>,
+        }
+
+        impl Model {
+            fn record_served(&mut self, ue: UeId, bits: f64) {
+                let avg = self.avg.entry(ue).or_insert(1.0);
+                *avg = (1.0 - 0.01) * *avg + 0.01 * bits;
+            }
+
+            /// Proportional fair over the map layout, all subchannels
+            /// allowed: rate / max(avg, 1), first best wins ties.
+            fn pf(&self, n_sub: usize, rate: impl Fn(UeId, usize) -> f64) -> Vec<Option<UeId>> {
+                let mut remaining: Vec<f64> = self
+                    .attached
+                    .iter()
+                    .map(|u| self.queues[u] as f64)
+                    .collect();
+                let mut out = vec![None; n_sub];
+                for (s, slot) in out.iter_mut().enumerate() {
+                    let mut best: Option<(usize, f64)> = None;
+                    for (i, &ue) in self.attached.iter().enumerate() {
+                        let r = rate(ue, s);
+                        if remaining[i] <= 0.0 || r <= 0.0 {
+                            continue;
+                        }
+                        let metric = r / self.avg.get(&ue).copied().unwrap_or(1.0).max(1.0);
+                        if best.is_none_or(|(_, m)| metric > m) {
+                            best = Some((i, metric));
+                        }
+                    }
+                    if let Some((i, _)) = best {
+                        *slot = Some(self.attached[i]);
+                        remaining[i] -= rate(self.attached[i], s);
+                    }
+                }
+                out
+            }
+        }
+
+        /// A deterministic rate surface with undecodable holes.
+        fn rate(ue: UeId, s: usize) -> f64 {
+            ((ue.index() * 7 + s * 3) % 11) as f64 * 40.0
+        }
+
+        proptest! {
+            #[test]
+            fn vec_backed_cell_matches_btreemap_reference(
+                ops in proptest::collection::vec((0u8..6, 0u32..8, 0u64..5_000), 1..80),
+            ) {
+                let mut cell = Cell::new(CellConfig::paper_default(ApId::new(0)));
+                let mut model = Model::default();
+                let n_sub = cell.grid().num_subchannels() as usize;
+                for (op, ue, bits) in ops {
+                    let ue = UeId::new(ue);
+                    let attached = model.attached.contains(&ue);
+                    match op {
+                        0 => {
+                            if !model.radio_on {
+                                cell.set_carrier(carrier(), Dbm(20.0), Instant::ZERO);
+                                model.radio_on = true;
+                            }
+                            cell.attach(ue);
+                            if !attached {
+                                model.attached.push(ue);
+                                model.queues.insert(ue, 0);
+                            }
+                        }
+                        1 => {
+                            cell.detach(ue);
+                            model.attached.retain(|&u| u != ue);
+                            model.queues.remove(&ue);
+                            model.avg.remove(&ue);
+                        }
+                        2 if attached => {
+                            cell.enqueue(ue, bits);
+                            *model.queues.get_mut(&ue).expect("attached UEs have queues") += bits;
+                        }
+                        3 if attached => {
+                            let q = model.queues.get_mut(&ue).expect("attached UEs have queues");
+                            let want = bits.min(*q);
+                            *q -= want;
+                            prop_assert_eq!(cell.deliver(ue, bits), want);
+                            model.record_served(ue, want as f64);
+                        }
+                        4 => {
+                            cell.record_unserved(ue);
+                            model.record_served(ue, 0.0);
+                        }
+                        5 => {
+                            cell.radio_off();
+                            for u in model.attached.drain(..) {
+                                model.avg.remove(&u);
+                            }
+                            model.queues.clear();
+                            model.radio_on = false;
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(cell.attached_ues(), &model.attached[..]);
+                    for u in (0..8).map(UeId::new) {
+                        prop_assert_eq!(
+                            cell.queued_bits(u),
+                            model.queues.get(&u).copied().unwrap_or(0)
+                        );
+                        prop_assert_eq!(
+                            cell.scheduler.average_rate(u),
+                            model.avg.get(&u).copied().unwrap_or(0.0)
+                        );
+                    }
+                    prop_assert_eq!(
+                        cell.total_queued_bits(),
+                        model.queues.values().fold(0u64, |a, &b| a.saturating_add(b))
+                    );
+                    prop_assert_eq!(
+                        cell.active_clients(),
+                        model.attached.iter().filter(|u| model.queues[u] > 0).count()
+                    );
+                }
+                let mut out = vec![Some(UeId::new(99)); n_sub];
+                cell.schedule(rate, &mut out);
+                prop_assert_eq!(out, model.pf(n_sub, rate));
+            }
+        }
     }
 }

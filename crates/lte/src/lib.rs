@@ -54,6 +54,6 @@ pub mod ue;
 pub use amc::{Cqi, CqiTable, Modulation};
 pub use cell::{Cell, CellConfig};
 pub use grid::{ChannelBandwidth, ResourceGrid};
-pub use scheduler::{Allocation, Scheduler, SchedulerKind};
+pub use scheduler::{Scheduler, SchedulerKind};
 pub use tdd::{SubframeKind, TddConfig};
 pub use ue::{RrcState, Ue};

@@ -86,9 +86,8 @@ impl ImStrategy for CellFi {
                             }
                         }
                     }
-                    let est: Vec<f64> = (0..n_sub)
-                        .map(|s| e.rate_bits(ue, s, 1.0) * 1000.0)
-                        .collect();
+                    let rates = e.dl_rates(1.0);
+                    let est: Vec<f64> = (0..n_sub).map(|s| rates.bits(ue, s) * 1000.0).collect();
                     ClientEpochStats {
                         ue: *ueid,
                         frac_scheduled: frac,

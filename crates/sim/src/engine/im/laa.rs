@@ -29,29 +29,32 @@ pub const LBT_CW: u32 = 15;
 pub struct Laa;
 
 impl ImStrategy for Laa {
-    fn transmit_gate(&self, e: &mut LteEngine) -> Vec<bool> {
-        e.lbt_gate()
+    fn transmit_gate(&self, e: &mut LteEngine, out: &mut Vec<bool>) {
+        e.lbt_gate(out);
     }
 
     fn run_epoch(&self, _e: &mut LteEngine) {}
 }
 
 impl LteEngine {
-    /// LAA listen-before-talk gate: returns which cells may transmit
-    /// this subframe, updating TXOP and backoff state. Sensing uses the
-    /// transmitter set of the previous subframe (energy detect at the
-    /// AP), so the long-range mismatch between sensing and interference
-    /// footprints plays out exactly as it does for CSMA.
-    fn lbt_gate(&mut self) -> Vec<bool> {
+    /// LAA listen-before-talk gate: writes which cells may transmit
+    /// this subframe into `grant`, updating TXOP and backoff state.
+    /// Sensing uses the transmitter set of the previous subframe (energy
+    /// detect at the AP), so the long-range mismatch between sensing and
+    /// interference footprints plays out exactly as it does for CSMA.
+    fn lbt_gate(&mut self, grant: &mut Vec<bool>) {
         let n = self.cells.len();
         // Who was transmitting last subframe (any subchannel)?
-        let mut active_last = vec![false; n];
+        let mut active_last = std::mem::take(&mut self.mac_scratch.lbt_active);
+        active_last.clear();
+        active_last.resize(n, false);
         for cells in &self.tx_last {
             for &c in cells {
                 active_last[c] = true;
             }
         }
-        let mut grant = vec![false; n];
+        grant.clear();
+        grant.resize(n, false);
         for (c, granted) in grant.iter_mut().enumerate() {
             if self.cells[c].total_queued_bits() == 0 {
                 // Idle cells release any TXOP and keep a fresh backoff.
@@ -87,6 +90,6 @@ impl LteEngine {
             self.lbt[c].backoff = self.lbt_rng[c].gen_range(0..=LBT_CW);
             *granted = true;
         }
-        grant
+        self.mac_scratch.lbt_active = active_last;
     }
 }

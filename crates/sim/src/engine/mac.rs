@@ -11,14 +11,81 @@
 //! Whether a cell may transmit at all this subframe is the IM layer's
 //! call: the subframe loop asks the configured strategy's
 //! `transmit_gate` (only LAA gates; every other system always allows).
+//!
+//! Downlink scheduling is the one per-cell stage that fans out: every
+//! cell allocates its own subchannel row from shared, read-only rate
+//! inputs ([`DlRates`]), so cells go to workers through
+//! `parallel::for_each_row_zip`. HARQ, RNG draws, delivery and trace
+//! emission then run serially in cell order.
 
 use super::{im, LteEngine};
-use cellfi_lte::amc::Cqi;
+use cellfi_lte::amc::{Cqi, CqiTable};
 use cellfi_lte::control::signalling_retention;
+use cellfi_lte::grid::ResourceGrid;
 use cellfi_lte::harq::{HarqEntity, HarqOutcome};
-use cellfi_types::time::Duration;
+use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::{Db, Dbm};
 use cellfi_types::{SubchannelId, UeId};
+
+/// Cells per worker below which the scheduling fan-out stays serial
+/// (the `parallel::for_each_row` floor shared with the CQI scan): a
+/// paper-scale run of a handful of cells never spawns.
+const MIN_CELLS_PER_WORKER: usize = 64;
+
+/// MAC scratch buffers, reused across subframes so the steady-state
+/// subframe loop allocates nothing.
+#[derive(Debug, Default)]
+pub(super) struct MacScratch {
+    /// Per-cell transmit gate from the IM layer.
+    gate: Vec<bool>,
+    /// Per-cell "radiated last subframe" flags (LAA sensing).
+    pub(super) lbt_active: Vec<bool>,
+    /// Flat `n_cells × n_sub` downlink assignment rows.
+    assign: Vec<Option<UeId>>,
+    /// Per-subchannel downlink transmitter sets.
+    tx: Vec<Vec<usize>>,
+    /// One cell's (downlink) or all cells' (uplink) `(ue, subchannel)`
+    /// grants, grouped by UE.
+    pairs: Vec<(u32, u32)>,
+    /// Uplink: one cell's backlogged UEs, their queues, and its row.
+    ul_ues: Vec<UeId>,
+    ul_backlog: Vec<u64>,
+    ul_row: Vec<Option<UeId>>,
+    /// Uplink per-subchannel `(ue, power offset)` transmitter sets.
+    ul_tx: Vec<Vec<(usize, f64)>>,
+}
+
+/// The downlink rate model's inputs, borrowed from the engine. The
+/// scheduler's rate closure and the HARQ stage's transport-block sizing
+/// both go through [`DlRates::bits`], so they cannot drift apart.
+pub(super) struct DlRates<'a> {
+    now: Instant,
+    outage_until: &'a [Instant],
+    ue_cqi: &'a [Vec<Cqi>],
+    retention: &'a [f64],
+    table: &'a CqiTable,
+    grid: &'a ResourceGrid,
+    dl_capacity: f64,
+}
+
+impl DlRates<'_> {
+    /// Bits one subchannel can carry for a UE this subframe at its CQI.
+    /// Zero while the UE is reconnecting after a radio-link failure.
+    // cellfi-lint: hot
+    pub(super) fn bits(&self, ue: usize, s: usize) -> f64 {
+        if self.now < self.outage_until[ue] {
+            return 0.0;
+        }
+        let cqi = self.ue_cqi[ue][s];
+        if !cqi.usable() {
+            return 0.0;
+        }
+        self.table.efficiency(cqi)
+            * self.grid.data_res_per_subframe(SubchannelId::new(s as u32))
+            * self.dl_capacity
+            * self.retention[ue]
+    }
+}
 
 impl LteEngine {
     /// Radio-link-failure timer: this long with no decodable subchannel
@@ -62,21 +129,54 @@ impl LteEngine {
             .collect();
     }
 
-    /// Bits one subchannel can carry for a UE this subframe at its CQI.
-    /// Zero while the UE is reconnecting after a radio-link failure.
+    /// The downlink rate model at `dl_capacity` (the TDD subframe's
+    /// downlink share), as of now.
+    pub(super) fn dl_rates(&self, dl_capacity: f64) -> DlRates<'_> {
+        DlRates {
+            now: self.now,
+            outage_until: &self.outage_until,
+            ue_cqi: &self.ue_cqi,
+            retention: &self.retention,
+            table: &self.table,
+            grid: &self.grid,
+            dl_capacity,
+        }
+    }
+
+    /// Schedule every cell for one downlink subframe into
+    /// `mac_scratch.assign` (`n_cells × n_sub`, row `c` = cell `c`'s
+    /// subchannel owners; all `None` for a cell that may not transmit or
+    /// has nothing queued). Each cell's allocation reads only shared
+    /// state and its own scheduler, so cells fan out across workers.
     // cellfi-lint: hot
-    pub(super) fn rate_bits(&self, ue: usize, s: usize, dl_capacity: f64) -> f64 {
-        if self.now < self.outage_until[ue] {
-            return 0.0;
-        }
-        let cqi = self.ue_cqi[ue][s];
-        if !cqi.usable() {
-            return 0.0;
-        }
-        self.table.efficiency(cqi)
-            * self.grid.data_res_per_subframe(SubchannelId::new(s as u32))
-            * dl_capacity
-            * self.retention[ue]
+    fn schedule_cells(&mut self, dl_capacity: f64) {
+        let n_sub = self.grid.num_subchannels() as usize;
+        // The IM layer decides who may transmit this subframe (LAA's
+        // listen-before-talk gates on last subframe's sensed energy;
+        // every other system always allows).
+        let mut gate = std::mem::take(&mut self.mac_scratch.gate);
+        im::strategy_for(self.config.mode).transmit_gate(self, &mut gate);
+        self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
+        let mut cells = std::mem::take(&mut self.cells);
+        let mut assign = std::mem::take(&mut self.mac_scratch.assign);
+        assign.clear();
+        assign.resize(cells.len() * n_sub, None);
+        let rates = self.dl_rates(dl_capacity);
+        let lease_ok = &self.lease_ok;
+        crate::parallel::for_each_row_zip(
+            &mut cells,
+            &mut assign,
+            MIN_CELLS_PER_WORKER,
+            |c, cell, row| {
+                if gate[c] && lease_ok[c] && cell.radio_on() && cell.total_queued_bits() > 0 {
+                    cell.schedule(|ue, s| rates.bits(ue.index(), s), row);
+                }
+            },
+        );
+        self.cells = cells;
+        self.mac_scratch.assign = assign;
+        self.mac_scratch.gate = gate;
+        self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
     }
 
     /// Run one subframe. Returns `(ue, bits)` deliveries.
@@ -88,59 +188,27 @@ impl LteEngine {
         let dl_capacity = self.tdd.dl_capacity(self.now);
         if dl_capacity > 0.0 {
             self.dl_subframes_this_epoch += 1;
-            // 0. The IM layer decides who may transmit this subframe
-            // (LAA's listen-before-talk gates on last subframe's sensed
-            // energy; every other system always allows).
-            let may_transmit: Vec<bool> = im::strategy_for(self.config.mode).transmit_gate(self);
-            // 1. Schedule every cell. UE lists and rate rows live in
-            // engine-owned scratch buffers, so the steady-state subframe
-            // loop allocates nothing here.
-            self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
-            let mut allocations: Vec<Option<cellfi_lte::scheduler::Allocation>> =
-                vec![None; self.cells.len()];
-            let mut ues = std::mem::take(&mut self.ue_scratch);
-            let mut rates = std::mem::take(&mut self.rates_scratch);
-            for c in 0..self.cells.len() {
-                if !may_transmit[c] {
-                    continue;
-                }
-                if !self.cell_active(c) || self.cells[c].total_queued_bits() == 0 {
-                    continue;
-                }
-                ues.clear();
-                ues.extend_from_slice(self.cells[c].attached_ues());
-                if rates.len() < ues.len() {
-                    rates.resize_with(ues.len(), Vec::new);
-                }
-                for (row, ue) in rates.iter_mut().zip(&ues) {
-                    row.clear();
-                    row.extend((0..n_sub).map(|s| self.rate_bits(ue.index(), s, dl_capacity)));
-                }
-                allocations[c] = Some(self.cells[c].schedule_downlink(&rates[..ues.len()]));
-            }
-            self.ue_scratch = ues;
-            self.rates_scratch = rates;
-            self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
+            // 1. Schedule every cell into the flat assignment buffer.
+            self.schedule_cells(dl_capacity);
+            let assign = std::mem::take(&mut self.mac_scratch.assign);
             // 2. Per-subchannel transmitter sets (scratch-backed rows).
-            let mut tx = std::mem::take(&mut self.tx_scratch);
+            let mut tx = std::mem::take(&mut self.mac_scratch.tx);
             if tx.len() != n_sub {
                 tx.resize_with(n_sub, Vec::new);
             }
             for row in tx.iter_mut() {
                 row.clear();
             }
-            for (c, alloc) in allocations.iter().enumerate() {
-                if let Some(a) = alloc {
-                    let mut scheduled_any = false;
-                    for (s, assigned) in a.assignment.iter().enumerate() {
-                        if assigned.is_some() {
-                            tx[s].push(c);
-                            scheduled_any = true;
-                        }
+            for (c, row) in assign.chunks_exact(n_sub).enumerate() {
+                let mut scheduled_any = false;
+                for (s, assigned) in row.iter().enumerate() {
+                    if assigned.is_some() {
+                        tx[s].push(c);
+                        scheduled_any = true;
                     }
-                    if scheduled_any {
-                        self.epoch_cell_sched[c] += 1;
-                    }
+                }
+                if scheduled_any {
+                    self.epoch_cell_sched[c] += 1;
                 }
             }
             // 3. Resolve transport blocks per UE through HARQ. The
@@ -157,9 +225,8 @@ impl LteEngine {
                 &self.lin_mw,
             );
             self.obs.profiler.end(cellfi_obs::SpanId::SinrCache);
-            let mut pairs = std::mem::take(&mut self.pairs_scratch);
-            for (c, alloc) in allocations.iter().enumerate() {
-                let Some(a) = alloc else { continue };
+            let mut pairs = std::mem::take(&mut self.mac_scratch.pairs);
+            for (c, row) in assign.chunks_exact(n_sub).enumerate() {
                 // Group the cell's grants by UE. A stable sort keeps
                 // subchannels ascending within each UE group and UEs
                 // ascending overall — the iteration order of the
@@ -167,7 +234,7 @@ impl LteEngine {
                 // n_sub pairs, well inside the sort's no-alloc
                 // insertion-sort regime).
                 pairs.clear();
-                for (s, assigned) in a.assignment.iter().enumerate() {
+                for (s, assigned) in row.iter().enumerate() {
                     if let Some(ue) = assigned {
                         pairs.push((ue.index() as u32, s as u32));
                     }
@@ -204,10 +271,8 @@ impl LteEngine {
                     if !cqi.usable() {
                         continue;
                     }
-                    let bits: f64 = scs
-                        .iter()
-                        .map(|&(_, s)| self.rate_bits(ue, s as usize, dl_capacity))
-                        .sum();
+                    let rates = self.dl_rates(dl_capacity);
+                    let bits: f64 = scs.iter().map(|&(_, s)| rates.bits(ue, s as usize)).sum();
                     let process = (self.now.as_millis() % 8) as usize;
                     let outcome =
                         self.harq[ue].transmit(process, cqi, eff_sinr, &mut self.ue_rng[ue]);
@@ -242,16 +307,17 @@ impl LteEngine {
                     }
                 }
             }
-            self.pairs_scratch = pairs;
+            self.mac_scratch.pairs = pairs;
+            self.mac_scratch.assign = assign;
             std::mem::swap(&mut self.tx_last, &mut tx);
-            self.tx_scratch = tx;
+            self.mac_scratch.tx = tx;
         } else {
             // Uplink subframe: GPS-synchronized TDD means downlink data
             // pauses everywhere while the uplink runs. Uplink deliveries
             // accumulate in `ul_delivered_bits` (the return value carries
             // downlink deliveries only, which is what the web-workload
             // consumers track).
-            let _ = self.step_uplink();
+            self.step_uplink();
             for row in self.tx_last.iter_mut() {
                 row.clear();
             }
@@ -359,98 +425,104 @@ impl LteEngine {
         10.0 * (signal / (interference + self.noise_mw[s])).log10()
     }
 
+    /// Uplink rate estimate for `ue` at its serving `cell` on subchannel
+    /// `s`: a sounding-based genie of the clean channel, assuming
+    /// single-subchannel concentration (full power).
+    fn ul_rate_bits(&self, cell: usize, ue: usize, s: usize) -> f64 {
+        let sc = SubchannelId::new(s as u32);
+        let fade = self
+            .scenario
+            .env
+            .fading
+            .gain(
+                self.scenario.ues[ue].node,
+                self.scenario.aps[cell].node,
+                sc,
+                self.now,
+            )
+            .value();
+        // `cell` is this UE's serving cell (it is attached), so the slot
+        // is the serving slot.
+        let snr = self.ul_mean_dbm.at(ue, self.serving_slot[ue] as usize) + fade
+            - 10.0 * self.noise_mw[s].log10();
+        let cqi = self.table.cqi_for_sinr(Db(snr));
+        if cqi.usable() {
+            self.table.efficiency(cqi) * self.grid.data_res_per_subframe(sc)
+        } else {
+            0.0
+        }
+    }
+
     /// Run one uplink subframe: each cell grants its allowed subchannels
     /// to backlogged UEs (PF), UEs concentrate their 20 dBm across their
     /// grants, and transport blocks resolve against UL-UL interference
     /// through per-UE uplink HARQ. GPS-synchronized TDD (§4.1) means no
-    /// DL↔UL cross interference. Returns `(ue, bits)` deliveries.
-    fn step_uplink(&mut self) -> Vec<(usize, u64)> {
+    /// DL↔UL cross interference. Uplink deliveries accumulate in
+    /// `ul_delivered`.
+    fn step_uplink(&mut self) {
         let n_sub = self.grid.num_subchannels() as usize;
-        let mut deliveries = Vec::new();
-        // 1. Grants per cell over its allowed mask.
-        let mut grants: Vec<Vec<usize>> = vec![Vec::new(); self.scenario.n_ues()];
-        for c in 0..self.cells.len() {
+        // 1. Grants per cell over its allowed mask, as `(ue, s)` pairs.
+        let mut schedulers = std::mem::take(&mut self.ul_scheduler);
+        let mut ues = std::mem::take(&mut self.mac_scratch.ul_ues);
+        let mut backlog = std::mem::take(&mut self.mac_scratch.ul_backlog);
+        let mut row = std::mem::take(&mut self.mac_scratch.ul_row);
+        let mut grants = std::mem::take(&mut self.mac_scratch.pairs);
+        row.resize(n_sub, None);
+        grants.clear();
+        for (c, scheduler) in schedulers.iter_mut().enumerate() {
             if !self.cell_active(c) {
                 continue;
             }
-            let ues: Vec<UeId> = self.cells[c]
-                .attached_ues()
-                .iter()
-                .copied()
-                .filter(|u| self.ul_queue[u.index()] > 0)
-                .collect();
+            ues.clear();
+            backlog.clear();
+            for &u in self.cells[c].attached_ues() {
+                if self.ul_queue[u.index()] > 0 {
+                    ues.push(u);
+                    backlog.push(self.ul_queue[u.index()]);
+                }
+            }
             if ues.is_empty() {
                 continue;
             }
-            // Rate estimate: sounding-based genie of the clean channel,
-            // assuming single-subchannel concentration (full power).
-            let demands: Vec<cellfi_lte::scheduler::UeDemand> = ues
-                .iter()
-                .map(|&u| {
-                    let rates = (0..n_sub)
-                        .map(|s| {
-                            let sc = SubchannelId::new(s as u32);
-                            let fade = self
-                                .scenario
-                                .env
-                                .fading
-                                .gain(
-                                    self.scenario.ues[u.index()].node,
-                                    self.scenario.aps[c].node,
-                                    sc,
-                                    self.now,
-                                )
-                                .value();
-                            // `c` is this UE's serving cell (it is
-                            // attached), so the slot is the serving slot.
-                            let snr = self
-                                .ul_mean_dbm
-                                .at(u.index(), self.serving_slot[u.index()] as usize)
-                                + fade
-                                - 10.0 * self.noise_mw[s].log10();
-                            let cqi = self.table.cqi_for_sinr(Db(snr));
-                            if cqi.usable() {
-                                self.table.efficiency(cqi) * self.grid.data_res_per_subframe(sc)
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect();
-                    cellfi_lte::scheduler::UeDemand {
-                        ue: u,
-                        backlog_bits: self.ul_queue[u.index()],
-                        rate_per_subchannel: rates,
-                    }
-                })
-                .collect();
-            let allowed = self.cells[c].allowed_mask().to_vec();
-            let alloc = self.ul_scheduler[c].allocate(&allowed, &demands);
-            for (s, assigned) in alloc.assignment.iter().enumerate() {
+            scheduler.allocate(
+                &ues,
+                &backlog,
+                self.cells[c].allowed_mask(),
+                |i, s| self.ul_rate_bits(c, ues[i].index(), s),
+                &mut row,
+            );
+            for (s, assigned) in row.iter().enumerate() {
                 if let Some(u) = assigned {
-                    grants[u.index()].push(s);
+                    grants.push((u.index() as u32, s as u32));
                 }
             }
         }
+        self.ul_scheduler = schedulers;
+        self.mac_scratch.ul_ues = ues;
+        self.mac_scratch.ul_backlog = backlog;
+        self.mac_scratch.ul_row = row;
+        // Group by UE, subchannels ascending within each group. The
+        // pairs are unique, so the in-place unstable sort is exact.
+        grants.sort_unstable();
         // 2. Concentration offsets and the transmitter sets.
-        let mut tx: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_sub];
-        for (u, scs) in grants.iter().enumerate() {
-            if scs.is_empty() {
-                continue;
-            }
-            let offset = -10.0 * (scs.len() as f64).log10();
-            for &s in scs {
-                tx[s].push((u, offset));
+        let mut tx = std::mem::take(&mut self.mac_scratch.ul_tx);
+        tx.resize_with(n_sub, Vec::new);
+        for sc_tx in tx.iter_mut() {
+            sc_tx.clear();
+        }
+        for ue_grants in grants.chunk_by(|a, b| a.0 == b.0) {
+            let offset = -10.0 * (ue_grants.len() as f64).log10();
+            for &(u, s) in ue_grants {
+                tx[s as usize].push((u as usize, offset));
             }
         }
         // 3. Resolve per UE through uplink HARQ.
-        for (u, ue_grants) in grants.iter().enumerate() {
-            if ue_grants.is_empty() {
-                continue;
-            }
+        for ue_grants in grants.chunk_by(|a, b| a.0 == b.0) {
+            let u = ue_grants[0].0 as usize;
             let cell = self.scenario.assoc[u];
             let mean_linear = ue_grants
                 .iter()
-                .map(|&s| Db(self.ul_sinr_db(cell, u, s, &tx)).to_linear())
+                .map(|&(_, s)| Db(self.ul_sinr_db(cell, u, s as usize, &tx)).to_linear())
                 .sum::<f64>()
                 / ue_grants.len() as f64;
             let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
@@ -460,9 +532,9 @@ impl LteEngine {
             }
             let bits: f64 = ue_grants
                 .iter()
-                .map(|&s| {
+                .map(|&(_, s)| {
                     self.table.efficiency(cqi)
-                        * self.grid.data_res_per_subframe(SubchannelId::new(s as u32))
+                        * self.grid.data_res_per_subframe(SubchannelId::new(s))
                 })
                 .sum();
             let process = (self.now.as_millis() % 8) as usize;
@@ -471,12 +543,10 @@ impl LteEngine {
                 let drained = (bits as u64).min(self.ul_queue[u]);
                 self.ul_queue[u] -= drained;
                 self.ul_delivered[u] += drained;
-                if drained > 0 {
-                    deliveries.push((u, drained));
-                }
             }
         }
-        deliveries
+        self.mac_scratch.ul_tx = tx;
+        self.mac_scratch.pairs = grants;
     }
 
     /// A3-style handover check for one client: switch to a neighbour cell

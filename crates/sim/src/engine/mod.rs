@@ -231,12 +231,8 @@ pub struct LteEngine {
     /// Flat merge of `hit_scratch` in UE index order — the hit list the
     /// memo remembers for replay.
     scan_hits_scratch: Vec<(u32, u32, f64, f64)>,
-    /// MAC scheduling scratch buffers, reused across subframes so the
-    /// steady-state subframe loop allocates nothing.
-    ue_scratch: Vec<UeId>,
-    rates_scratch: Vec<Vec<f64>>,
-    tx_scratch: Vec<Vec<usize>>,
-    pairs_scratch: Vec<(u32, u32)>,
+    /// MAC scratch buffers (gate, assignment rows, grant pairs, …).
+    mac_scratch: mac::MacScratch,
     /// Consecutive epochs whose steady-state signature was unchanged.
     quiescent_epochs: u64,
     /// The previous epoch's `(total hops, interned sets, handovers)`.
@@ -422,10 +418,7 @@ impl LteEngine {
             any_usable_scratch: vec![false; n_ue],
             hit_scratch: vec![Vec::new(); n_ue],
             scan_hits_scratch: Vec::new(),
-            ue_scratch: Vec::new(),
-            rates_scratch: Vec::new(),
-            tx_scratch: Vec::new(),
-            pairs_scratch: Vec::new(),
+            mac_scratch: mac::MacScratch::default(),
             quiescent_epochs: 0,
             last_epoch_sig: None,
             conflict: links.conflict,

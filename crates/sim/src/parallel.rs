@@ -119,35 +119,63 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
+    for_each_row_zip(rows, &mut [(); 0], min_rows_per_thread, |i, row, _| {
+        f(i, row)
+    });
+}
+
+/// [`for_each_row`] with a flat output split evenly across the rows:
+/// `f(i, &mut rows[i], &mut out[i*k..(i+1)*k])` with
+/// `k = out.len() / rows.len()`, so each row writes its own fixed-width
+/// slice of a caller-owned buffer (e.g. one cell's subchannel
+/// assignments). `out.len()` must be a multiple of `rows.len()`. Rows
+/// and slices go to workers together, at the same boundaries, for any
+/// thread count.
+pub fn for_each_row_zip<T, U, F>(rows: &mut [T], out: &mut [U], min_rows_per_thread: usize, f: F)
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, &mut T, &mut [U]) + Sync,
+{
     let n = rows.len();
+    let k = out.len().checked_div(n).unwrap_or(0);
+    assert_eq!(out.len(), n * k, "output must split into one slice per row");
     let threads = configured_threads()
         .min(n / min_rows_per_thread.max(1))
         .max(1);
     if threads <= 1 {
-        for (i, row) in rows.iter_mut().enumerate() {
-            f(i, row);
-        }
+        zip_rows(0, rows, out, k, &f);
         return;
     }
     std::thread::scope(|scope| {
         let f = &f;
         let mut rest = rows;
+        let mut rest_out = out;
         let mut start = 0;
         for (lo, hi) in chunk_bounds(n, threads) {
             let (chunk, tail) = rest.split_at_mut(hi - lo);
             rest = tail;
-            scope.spawn(move || {
-                // Row work is a leaf: nested helpers inside `f` must not
-                // re-spawn on top of an already-saturated fan-out.
-                with_threads(1, || {
-                    for (j, row) in chunk.iter_mut().enumerate() {
-                        f(start + j, row);
-                    }
-                })
-            });
+            let (chunk_out, tail_out) = rest_out.split_at_mut((hi - lo) * k);
+            rest_out = tail_out;
+            // Row work is a leaf: nested helpers inside `f` must not
+            // re-spawn on top of an already-saturated fan-out.
+            scope.spawn(move || with_threads(1, || zip_rows(start, chunk, chunk_out, k, f)));
             start = hi;
         }
     });
+}
+
+/// Serial body of [`for_each_row_zip`] over rows `start..` of one chunk.
+fn zip_rows<T, U, F>(start: usize, rows: &mut [T], out: &mut [U], k: usize, f: &F)
+where
+    F: Fn(usize, &mut T, &mut [U]),
+{
+    let mut rest = out;
+    for (j, row) in rows.iter_mut().enumerate() {
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(k);
+        rest = tail;
+        f(start + j, row, slice);
+    }
 }
 
 /// Parallel in-place update of a flat slab split at fixed `chunk_len`
@@ -237,6 +265,31 @@ mod tests {
             let expect: Vec<u32> = (0..53).map(|i| i + 1).collect();
             assert_eq!(rows, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn for_each_row_zip_pairs_rows_with_their_output_slices() {
+        let expect: Vec<u32> = (0..53 * 3).map(|x| x / 3 * 10 + x % 3).collect();
+        for threads in [1, 2, 5] {
+            let mut rows = vec![0u32; 53];
+            let mut out = vec![0u32; 53 * 3];
+            with_threads(threads, || {
+                for_each_row_zip(&mut rows, &mut out, 1, |i, row, slice| {
+                    *row = i as u32;
+                    for (k, v) in slice.iter_mut().enumerate() {
+                        *v = i as u32 * 10 + k as u32;
+                    }
+                })
+            });
+            assert_eq!(rows, (0..53).collect::<Vec<u32>>(), "threads={threads}");
+            assert_eq!(out, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one slice per row")]
+    fn for_each_row_zip_rejects_ragged_output() {
+        for_each_row_zip(&mut [0u8; 3], &mut [0u8; 7], 1, |_, _, _| {});
     }
 
     #[test]

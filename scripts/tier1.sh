@@ -122,6 +122,14 @@ METRO_RSS_KB=$(cat "$TRACE_TMP/metro_rss_kb")
 echo "fig9metro max RSS: ${METRO_RSS_KB} KB (ceiling ${METRO_RSS_CEILING_KB} KB)"
 [ "$METRO_RSS_KB" -le "$METRO_RSS_CEILING_KB" ]
 
+echo "== tier1: fig9metro at CELLFI_THREADS=2 (parallel MAC fan-out vs the same golden) =="
+# Downlink scheduling fans cells out to workers only at 64+ cells per
+# worker, so this 2,500-cell point is the one tier-1 scenario where the
+# parallel MAC actually runs (its traced pocket is below the floor).
+# Its values must match the same committed golden byte for byte.
+(cd "$TRACE_TMP" && CELLFI_THREADS=2 "$OLDPWD/$EXP" fig9metro --quick --json > "$TRACE_TMP/metro_t2_out.txt")
+sed -n "/^{/,/^}/p" "$TRACE_TMP/metro_t2_out.txt" | diff tests/goldens/values_fig9metro.json -
+
 echo "== tier1: bench regression smoke (engine rate vs committed baseline) =="
 # A cheap single-threaded rerun of the engine bench, gated loosely
 # (20% drop) so hot-path regressions fail fast while CI wall-clock

@@ -129,6 +129,60 @@ fn trace_bytes_are_identical_for_any_thread_count() {
     }
 }
 
+/// The MAC fan-out contract: cells schedule on workers only once there
+/// are at least 64 per worker, so the 4 × 3 scenarios above never leave
+/// the serial path. A culled 200-cell metro pocket (3 clients each, at
+/// the `fig9metro` AP density) fans out at 2 and 3 workers; delivered
+/// bits, hop counts and trace bytes must still match the serial run.
+/// The run passes the first 1 s IM epoch, so the hops are real.
+#[test]
+fn parallel_mac_fan_out_is_identical_for_any_thread_count() {
+    use cellfi::obs::Tracer;
+    use cellfi::sim::experiments::fig9metro::{metro_config, MetroPoint};
+    use cellfi::sim::{parallel, ImMode, LteEngine, LteEngineConfig, Scenario};
+    use cellfi::types::rng::SeedSeq;
+    use cellfi::types::time::Instant;
+
+    let point = MetroPoint {
+        n_aps: 200,
+        clients_per_ap: 3,
+        side_m: 5_657.0,
+        floor_dbm: -80.0,
+    };
+    let run = |threads: usize| {
+        parallel::with_threads(threads, || {
+            let seeds = SeedSeq::new(4242).child("mac-fan-out");
+            let scenario = Scenario::generate(metro_config(point), seeds);
+            assert!(scenario.nbr.cull_radius_m.is_some(), "pocket is culled");
+            let mut e = LteEngine::new(
+                scenario,
+                LteEngineConfig::paper_default(ImMode::CellFi),
+                seeds.child("engine"),
+            );
+            e.obs_mut().tracer = Tracer::new(true);
+            e.backlog_all(u64::MAX / 4);
+            e.run_until(Instant::from_millis(1_100));
+            (
+                e.delivered_bits().to_vec(),
+                e.manager_hops(),
+                e.obs().tracer.to_jsonl(),
+            )
+        })
+    };
+    let serial = run(1);
+    assert!(serial.0.iter().any(|&b| b > 0), "serial run delivered bits");
+    assert!(serial.1.iter().any(|&h| h > 0), "serial run hopped");
+    for threads in [2usize, 3] {
+        let parallel_run = run(threads);
+        assert_eq!(
+            parallel_run.0, serial.0,
+            "delivered bits, threads={threads}"
+        );
+        assert_eq!(parallel_run.1, serial.1, "manager hops, threads={threads}");
+        assert_eq!(parallel_run.2, serial.2, "trace bytes, threads={threads}");
+    }
+}
+
 /// The spatial-index contract: culling is an *optimisation*, never a
 /// semantic change. A floor set so low that no link can fall below it
 /// keeps every candidate, and the grid-built neighbor tables must then

@@ -5,7 +5,6 @@
 use cellfi::im::manager::{ClientEpochStats, EpochInput, InterferenceManager, ManagerConfig};
 use cellfi::lte::cell::{Cell, CellConfig};
 use cellfi::lte::earfcn::{Band, Earfcn};
-use cellfi::lte::scheduler::Allocation;
 use cellfi::spectrum::client::DatabaseClient;
 use cellfi::spectrum::database::SpectrumDatabase;
 use cellfi::spectrum::paws::GeoLocation;
@@ -91,15 +90,17 @@ fn full_pipeline_from_database_to_scheduled_bits() {
 
     // 5. The stock scheduler serves within the mask and bits flow.
     let rates: Vec<Vec<f64>> = (0..2).map(|_| vec![800.0; n_sub as usize]).collect();
-    let alloc: Allocation = cell.schedule_downlink(&rates);
-    assert!(alloc.used_count() > 0 && alloc.used_count() <= 6);
-    for (s, assigned) in alloc.assignment.iter().enumerate() {
+    let mut alloc: Vec<Option<UeId>> = vec![None; n_sub as usize];
+    cell.schedule(|ue, s| rates[ue.index()][s], &mut alloc);
+    let used = alloc.iter().filter(|a| a.is_some()).count();
+    assert!(used > 0 && used <= 6);
+    for (s, assigned) in alloc.iter().enumerate() {
         if assigned.is_some() {
             assert!(decision.mask[s], "scheduled outside the IM mask");
         }
     }
     let before = cell.total_queued_bits();
-    for (s, assigned) in alloc.assignment.iter().enumerate() {
+    for (s, assigned) in alloc.iter().enumerate() {
         if let Some(ue) = assigned {
             cell.deliver(*ue, rates[0][s] as u64);
         }
