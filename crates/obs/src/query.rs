@@ -20,7 +20,7 @@
 
 /// One parsed field value from a trace line.
 #[derive(Debug, Clone, PartialEq)]
-enum FieldVal<'a> {
+pub(crate) enum FieldVal<'a> {
     Num(f64),
     Str(&'a str),
     Null,
@@ -29,7 +29,7 @@ enum FieldVal<'a> {
 /// Parse one flat JSONL trace line into `(key, value)` pairs in field
 /// order. Returns `None` on anything that is not a flat object of
 /// numbers / plain strings / nulls.
-fn parse_line(line: &str) -> Option<Vec<(&str, FieldVal<'_>)>> {
+pub(crate) fn parse_line(line: &str) -> Option<Vec<(&str, FieldVal<'_>)>> {
     let s = line.trim();
     let s = s.strip_prefix('{')?.strip_suffix('}')?;
     let mut out = Vec::new();
@@ -71,15 +71,12 @@ fn parse_line(line: &str) -> Option<Vec<(&str, FieldVal<'_>)>> {
 }
 
 /// The primary entity field per event kind — what `--entity` filters
-/// on. Mirrors `Event::entity`.
+/// on, read from the declared [`SCHEMA`](crate::trace::SCHEMA).
 pub fn entity_field(kind: &str) -> Option<&'static str> {
-    match kind {
-        "hop" | "share" | "prach" | "pack" | "fault_inject" | "lease_renew" | "degrade"
-        | "recover" | "sched" => Some("cell"),
-        "cqi_interf" | "harq_retx" => Some("ue"),
-        "paws_grant" | "paws_renew" | "paws_vacate" | "paws_vacated" => Some("channel"),
-        _ => None,
-    }
+    crate::trace::SCHEMA
+        .iter()
+        .find(|k| k.name == kind)
+        .map(|k| k.entity_key())
 }
 
 /// The aggregate operator.
@@ -320,7 +317,51 @@ mod tests {
 {\"t\":3000,\"ev\":\"hop\",\"cell\":0,\"from\":2,\"to\":4,\"from_utility\":2,\"to_utility\":4}
 {\"t\":3500,\"ev\":\"prach\",\"cell\":0,\"ue\":7,\"snr_db\":-4.5}
 {\"t\":4000,\"ev\":\"paws_vacated\",\"channel\":21,\"margin_us\":58000000}
+{\"t\":4500,\"ev\":\"cull\",\"ue\":7,\"kept\":4,\"culled\":2}
+{\"t\":5000,\"ev\":\"shard_outage\",\"shard\":1,\"until_us\":9000}
+{\"t\":5500,\"ev\":\"cache_hit\",\"shard\":1,\"age_us\":2000000}
+{\"t\":6000,\"ev\":\"cache_hit\",\"shard\":1,\"age_us\":3000000}
+{\"t\":6500,\"ev\":\"cache_hit\",\"shard\":2,\"age_us\":1000000}
+{\"t\":7000,\"ev\":\"renew_batch\",\"shard\":1,\"size\":12}
 ";
+
+    /// `--kind K --entity N` must count exactly the rows that `--kind K
+    /// --group-by <entity field>` puts under `N`, for every group.
+    fn assert_entity_filter_agrees(trace: &str, kind: &str) {
+        let field = entity_field(kind).expect("declared kind");
+        let grouped = run_query(
+            trace,
+            &Query {
+                kind: Some(kind.to_owned()),
+                group_by: Some(field.to_owned()),
+                ..Query::default()
+            },
+        )
+        .expect("query runs");
+        let rows: Vec<&str> = grouped
+            .lines()
+            .skip(1)
+            .filter(|l| !l.starts_with("total"))
+            .collect();
+        assert!(!rows.is_empty(), "{kind}: no groups in\n{grouped}");
+        for row in rows {
+            let (id, n) = row.split_once('\t').expect("key column");
+            let n = n.split('\t').next().expect("row count");
+            let filtered = run_query(
+                trace,
+                &Query {
+                    kind: Some(kind.to_owned()),
+                    entity: Some(id.parse().expect("numeric entity")),
+                    ..Query::default()
+                },
+            )
+            .expect("query runs");
+            assert!(
+                filtered.ends_with(&format!("total\t{n}\t{n}\n")),
+                "{kind} --entity {id}:\n{filtered}vs --group-by {field}:\n{grouped}"
+            );
+        }
+    }
 
     #[test]
     fn count_group_by_kind() {
@@ -331,7 +372,8 @@ mod tests {
         let out = run_query(TRACE, &q).expect("query runs");
         assert_eq!(
             out,
-            "ev\tn\tcount\nhop\t3\t3\npaws_vacated\t1\t1\nprach\t1\t1\ntotal\t5\t5\n"
+            "ev\tn\tcount\ncache_hit\t3\t3\ncull\t1\t1\nhop\t3\t3\npaws_vacated\t1\t1\n\
+             prach\t1\t1\nrenew_batch\t1\t1\nshard_outage\t1\t1\ntotal\t11\t11\n"
         );
     }
 
@@ -346,6 +388,18 @@ mod tests {
         };
         let out = run_query(TRACE, &q).expect("query runs");
         assert_eq!(out, "group\tn\tcount\nall\t1\t1\ntotal\t1\t1\n");
+        for kind in ["cull", "shard_outage", "cache_hit", "renew_batch"] {
+            assert_entity_filter_agrees(TRACE, kind);
+        }
+        // And for every declared kind, over one written sample of each.
+        let mut t = crate::trace::Tracer::new(true);
+        for e in crate::trace::Event::samples() {
+            t.emit(cellfi_types::time::Instant::ZERO, e);
+        }
+        let every_kind = t.to_jsonl();
+        for kind in crate::trace::KIND_NAMES {
+            assert_entity_filter_agrees(&every_kind, kind);
+        }
     }
 
     #[test]
@@ -407,8 +461,8 @@ mod tests {
             ..Query::default()
         };
         let out = run_query(TRACE, &q).expect("query runs");
-        assert!(out.contains("-\t4\t4\n"), "{out}");
-        assert!(out.contains("7\t1\t1\n"), "{out}");
+        assert!(out.contains("-\t9\t9\n"), "{out}");
+        assert!(out.contains("7\t2\t2\n"), "{out}");
     }
 
     #[test]

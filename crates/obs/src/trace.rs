@@ -11,17 +11,140 @@
 use cellfi_types::time::Instant;
 use std::fmt::Write as _;
 
-/// One typed observation from an engine layer.
+/// Declares every event kind once and generates everything that varies
+/// by kind: the [`Event`] enum, [`N_KINDS`], [`KIND_NAMES`], [`SCHEMA`],
+/// [`Event::kind_code`], [`Event::entity`], [`Event::value`] and the
+/// JSONL payload writer.
 ///
-/// Numbers only: entity ids are `u32` indices, times are microseconds of
-/// simulation time, and dB/utility values are `f64`. String payloads are
-/// deliberately impossible — they would allocate at emission time and
-/// invite nondeterministic formatting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
+/// An entry is the variant's docs, `Variant = "ev tag"`, an optional
+/// `sketch <field> [/ <scale>] in <lo>..<hi>`, then the payload fields
+/// in JSON emission order. The first field is the kind's primary entity
+/// (a `u32`: sampling strata and `trace-query --entity` key on it).
+/// `as "key"` renames a field on the wire. Kind codes are dense in
+/// declaration order, so new kinds append.
+macro_rules! trace_schema {
+    (@key $field:ident $key:literal) => { $key };
+    (@key $field:ident) => { stringify!($field) };
+    (@write $out:ident, $field:ident $($key:literal)?) => {
+        $out.push_str(concat!(",\"", trace_schema!(@key $field $($key)?), "\":"));
+        $field.write_json($out);
+    };
+    (@value) => { None };
+    (@value $v:ident $(/ $scale:literal)?) => { Some($v as f64 $(/ $scale)?) };
+    (@sketch) => { None };
+    (@sketch $v:ident $(/ $scale:literal)? in $lo:literal..$hi:literal) => {
+        Some(SketchDecl { value: stringify!($v $(/ $scale)?), lo: $lo, hi: $hi })
+    };
+    ($(
+        $(#[doc = $doc:literal])*
+        $kind:ident = $name:literal
+        $(, sketch $sv:ident $(/ $scale:literal)? in $lo:literal..$hi:literal)? {
+            $(#[$em:meta])* $ent:ident: $et:ty $(as $ekey:literal)?,
+            $($(#[$fm:meta])* $field:ident: $ty:ty $(as $key:literal)?,)*
+        }
+    )*) => {
+        /// One typed observation from an engine layer.
+        ///
+        /// Numbers only: entity ids are `u32` indices, times are
+        /// microseconds of simulation time, and dB/utility values are
+        /// `f64`. String payloads are deliberately impossible — they
+        /// would allocate at emission time and invite nondeterministic
+        /// formatting.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Event {
+            $(
+                $(#[doc = $doc])*
+                $kind {
+                    $(#[$em])* $ent: $et,
+                    $($(#[$fm])* $field: $ty,)*
+                },
+            )*
+        }
+
+        /// Kind codes: declaration order.
+        enum Code { $($kind,)* }
+
+        /// Number of distinct event kinds (one per [`Event`] variant).
+        pub const N_KINDS: usize = [$($name,)*].len();
+
+        /// Kind names indexed by [`Event::kind_code`].
+        pub const KIND_NAMES: [&str; N_KINDS] = [$($name,)*];
+
+        /// Every kind's declaration as data, indexed by
+        /// [`Event::kind_code`].
+        pub const SCHEMA: [KindSchema; N_KINDS] = [$(KindSchema {
+            name: $name,
+            doc: concat!($($doc, "\n",)*),
+            fields: &[
+                trace_schema!(@key $ent $($ekey)?),
+                $(trace_schema!(@key $field $($key)?),)*
+            ],
+            sketch: trace_schema!(@sketch $($sv $(/ $scale)? in $lo..$hi)?),
+        },)*];
+
+        impl Event {
+            /// Stable kind name — the `"ev"` field value in the JSONL
+            /// stream.
+            pub fn kind(&self) -> &'static str {
+                KIND_NAMES[self.kind_code() as usize]
+            }
+
+            /// Dense kind code, `0..N_KINDS`, stable across releases (new
+            /// kinds append). Sampling keys and sketch tables index on it.
+            pub fn kind_code(&self) -> u32 {
+                match self {
+                    $(Event::$kind { .. } => Code::$kind as u32,)*
+                }
+            }
+
+            /// The event's primary entity id: the cell for cell-scoped
+            /// events, the UE for per-client reports, the channel for PAWS
+            /// lease events, the shard for fleet backends. Stratified
+            /// sampling keys on `(kind_code, entity)`.
+            pub fn entity(&self) -> u32 {
+                match *self {
+                    $(Event::$kind { $ent, .. } => $ent,)*
+                }
+            }
+
+            /// The magnitude a histogram sketch aggregates for this kind,
+            /// if the kind has one (pure lease bookkeeping events are
+            /// count-only).
+            pub fn value(&self) -> Option<f64> {
+                match *self {
+                    $(Event::$kind { $($sv,)? .. } => trace_schema!(@value $($sv $(/ $scale)?)?),)*
+                }
+            }
+
+            /// Append `,"ev":"<kind>"` and the payload fields in
+            /// declaration order.
+            fn write_payload(&self, out: &mut String) {
+                match *self {
+                    $(Event::$kind { $ent, $($field,)* } => {
+                        out.push_str(concat!(",\"ev\":\"", $name, "\""));
+                        trace_schema!(@write out, $ent $($ekey)?);
+                        $(trace_schema!(@write out, $field $($key)?);)*
+                    })*
+                }
+            }
+
+            /// One instance of every kind, in code order: the entity is
+            /// `code + 1`, every other field 2.
+            #[cfg(test)]
+            pub(crate) fn samples() -> [Event; N_KINDS] {
+                [$(Event::$kind {
+                    $ent: Code::$kind as u32 + 1,
+                    $($field: 2 as _,)*
+                },)*]
+            }
+        }
+    };
+}
+
+trace_schema! {
     /// Bucket-driven subchannel hop (§5.3) with the utilities that drove
     /// the choice: the drained subchannel's utility and the target's.
-    Hop {
+    Hop = "hop", sketch to_utility in 0.0..1e8 {
         /// Hopping cell.
         cell: u32,
         /// Subchannel given up.
@@ -32,101 +155,101 @@ pub enum Event {
         from_utility: f64,
         /// Utility of the acquired subchannel (maximum over candidates).
         to_utility: f64,
-    },
+    }
     /// Share recalculation from PRACH counts (§5.2): `share = max(1,
     /// floor(n_sub * own / heard))` clamped to the channel.
-    Share {
+    Share = "share", sketch share in 0.0..32.0 {
         /// Recalculating cell.
         cell: u32,
         /// `N_i`: the cell's own active clients.
-        own_active: u32,
+        own_active: u32 as "own",
         /// `NP_i`: all active clients heard via PRACH, incl. its own.
-        heard_active: u32,
+        heard_active: u32 as "heard",
         /// The computed share `S_i`.
         share: u32,
-    },
+    }
     /// A foreign active client's PRACH reached this cell above the
     /// −10 dB sensing threshold (§5.1).
-    PrachHeard {
+    PrachHeard = "prach", sketch snr_db in -40.0..40.0 {
         /// Sensing cell.
         cell: u32,
         /// The foreign client heard.
         ue: u32,
         /// Uplink SNR of the client's PRACH at this cell.
         snr_db: f64,
-    },
+    }
     /// A sub-band CQI report first flagged (ue, subchannel) as interfered
     /// this epoch: SINR fell more than the margin below the clean SNR.
-    CqiInterference {
+    CqiInterference = "cqi_interf", sketch sinr_db in -40.0..40.0 {
         /// Reporting client.
         ue: u32,
         /// Flagged subchannel.
-        subchannel: u32,
+        subchannel: u32 as "sub",
         /// Observed SINR on the subchannel.
         sinr_db: f64,
         /// Interference-free SNR baseline on the subchannel.
         clean_db: f64,
-    },
+    }
     /// Re-use packing move (§5.3): relocation toward low indices onto
     /// subchannels every recent client observed as free.
-    Pack {
+    Pack = "pack", sketch to in 0.0..32.0 {
         /// Packing cell.
         cell: u32,
         /// Subchannel vacated.
         from: u32,
         /// Lower-indexed subchannel taken instead.
         to: u32,
-    },
+    }
     /// PAWS database granted a channel lease.
-    PawsGrant {
+    PawsGrant = "paws_grant" {
         /// Granted TVWS channel number.
         channel: u32,
         /// Lease expiry, microseconds of simulation time.
         expires_us: u64,
-    },
+    }
     /// PAWS lease renewed before expiry.
-    PawsRenew {
+    PawsRenew = "paws_renew" {
         /// Renewed TVWS channel number.
         channel: u32,
         /// New lease expiry, microseconds of simulation time.
         expires_us: u64,
-    },
+    }
     /// The database withdrew the channel: vacate ordered, ETSI 60 s
     /// deadline armed.
-    PawsVacate {
+    PawsVacate = "paws_vacate" {
         /// Withdrawn TVWS channel number.
         channel: u32,
         /// Absolute vacate deadline, microseconds of simulation time.
         deadline_us: u64,
-    },
+    }
     /// Transmission confirmed stopped on a withdrawn channel.
-    PawsVacated {
+    PawsVacated = "paws_vacated", sketch margin_us / 1e6 in 0.0..120.0 {
         /// Vacated TVWS channel number.
         channel: u32,
         /// Margin left before the deadline (0 when the deadline was
         /// already missed — a compliance violation).
         margin_us: u64,
-    },
+    }
     /// The fault injector perturbed a PAWS exchange for a cell's client.
-    FaultInject {
+    FaultInject = "fault_inject", sketch kind in 0.0..8.0 {
         /// Affected cell (AP index).
         cell: u32,
         /// Fault kind code (`FaultKind::code()` in `cellfi-spectrum`):
         /// 0 request lost, 1 response delayed, 2 outage, 3 transient
         /// error, 4 truncated grants, 5 revocation.
         kind: u32,
-    },
+    }
     /// The resilient lifecycle renewed/confirmed a cell's lease.
-    LeaseRenew {
+    LeaseRenew = "lease_renew" {
         /// Renewing cell (AP index).
         cell: u32,
         /// Confirmed TVWS channel number.
         channel: u32,
         /// New lease expiry, microseconds of simulation time.
         expires_us: u64,
-    },
+    }
     /// A degradation-ladder rung fired for a cell.
-    Degrade {
+    Degrade = "degrade", sketch step in 0.0..4.0 {
         /// Degrading cell (AP index).
         cell: u32,
         /// Channel after the rung (the vacated channel for a
@@ -135,207 +258,160 @@ pub enum Event {
         /// Rung code (`DegradeStep::code()`): 0 channel fallback,
         /// 1 EIRP reduction, 2 preemptive vacate.
         step: u32,
-    },
+    }
     /// A cell recovered from backoff/degradation to normal operation.
-    Recover {
+    Recover = "recover" {
         /// Recovering cell (AP index).
         cell: u32,
         /// Channel operating on after recovery.
         channel: u32,
-    },
+    }
     /// Per-epoch scheduler occupancy decision (detail stream): the
     /// subchannel mask a cell will schedule over until the next epoch.
-    Sched {
+    Sched = "sched", sketch owned in 0.0..32.0 {
         /// Deciding cell.
         cell: u32,
         /// Bitmask of allowed subchannels (bit `s` set ⇔ subchannel `s`
         /// in the mask; grids are ≤ 32 subchannels).
-        mask_bits: u32,
+        mask_bits: u32 as "mask",
         /// Number of subchannels in the mask.
         owned: u32,
-    },
+    }
     /// A downlink transport block failed its first decode and stays in
     /// its HARQ process for retransmission (detail stream).
-    HarqRetx {
+    HarqRetx = "harq_retx", sketch process in 0.0..16.0 {
         /// Receiving client.
         ue: u32,
         /// Serving cell.
         cell: u32,
         /// HARQ process holding the block.
         process: u32,
-    },
+    }
     /// Spatial-index cull summary for one client: how many candidate
     /// APs survived the received-power floor and how many the index
     /// culled. Emitted once per UE when a `cull_floor_dbm` is set; a
     /// dense (floor off) run emits none.
-    Cull {
+    Cull = "cull", sketch culled in 0.0..64.0 {
         /// Reporting client.
         ue: u32,
         /// Candidate APs kept in the neighbor list (incl. serving).
         kept: u32,
         /// APs culled below the received-power floor.
         culled: u32,
-    },
+    }
     /// A spectrum-database shard entered a scheduled outage window
     /// (fleet runs: every lifecycle on the shard rides it out alone).
-    ShardOutage {
+    ShardOutage = "shard_outage" {
         /// Affected database shard.
         shard: u32,
         /// Outage window end, microseconds of simulation time.
         until_us: u64,
-    },
+    }
     /// An availability query was served from a shard's response cache
     /// instead of reaching the database.
-    CacheHit {
+    CacheHit = "cache_hit", sketch age_us / 1e6 in 0.0..16.0 {
         /// Serving database shard.
         shard: u32,
         /// Age of the replayed response, microseconds — the regulatory
         /// confidence window ages by exactly this much.
         age_us: u64,
-    },
+    }
     /// A per-shard request-rate window closed with traffic: the batch
     /// of renewals/queries the shard absorbed in one accounting window.
-    RenewBatch {
+    RenewBatch = "renew_batch", sketch size in 0.0..256.0 {
         /// Reporting database shard.
         shard: u32,
         /// Requests served in the window.
         size: u32,
-    },
-}
-
-/// Number of distinct event kinds (one per [`Event`] variant).
-pub const N_KINDS: usize = 19;
-
-impl Event {
-    /// Stable kind name — the `"ev"` field value in the JSONL stream.
-    pub fn kind(&self) -> &'static str {
-        KIND_NAMES[self.kind_code() as usize]
-    }
-
-    /// Dense kind code, `0..N_KINDS`, stable across releases (new kinds
-    /// append). Sampling keys and sketch tables index on it.
-    pub fn kind_code(&self) -> u32 {
-        match self {
-            Event::Hop { .. } => 0,
-            Event::Share { .. } => 1,
-            Event::PrachHeard { .. } => 2,
-            Event::CqiInterference { .. } => 3,
-            Event::Pack { .. } => 4,
-            Event::PawsGrant { .. } => 5,
-            Event::PawsRenew { .. } => 6,
-            Event::PawsVacate { .. } => 7,
-            Event::PawsVacated { .. } => 8,
-            Event::FaultInject { .. } => 9,
-            Event::LeaseRenew { .. } => 10,
-            Event::Degrade { .. } => 11,
-            Event::Recover { .. } => 12,
-            Event::Sched { .. } => 13,
-            Event::HarqRetx { .. } => 14,
-            Event::Cull { .. } => 15,
-            Event::ShardOutage { .. } => 16,
-            Event::CacheHit { .. } => 17,
-            Event::RenewBatch { .. } => 18,
-        }
-    }
-
-    /// The event's primary entity id: the cell for cell-scoped events,
-    /// the UE for per-client reports, the channel for PAWS lease events.
-    /// Stratified sampling keys on `(kind_code, entity)`.
-    pub fn entity(&self) -> u32 {
-        match *self {
-            Event::Hop { cell, .. }
-            | Event::Share { cell, .. }
-            | Event::PrachHeard { cell, .. }
-            | Event::Pack { cell, .. }
-            | Event::FaultInject { cell, .. }
-            | Event::LeaseRenew { cell, .. }
-            | Event::Degrade { cell, .. }
-            | Event::Recover { cell, .. }
-            | Event::Sched { cell, .. } => cell,
-            Event::CqiInterference { ue, .. }
-            | Event::HarqRetx { ue, .. }
-            | Event::Cull { ue, .. } => ue,
-            Event::PawsGrant { channel, .. }
-            | Event::PawsRenew { channel, .. }
-            | Event::PawsVacate { channel, .. }
-            | Event::PawsVacated { channel, .. } => channel,
-            Event::ShardOutage { shard, .. }
-            | Event::CacheHit { shard, .. }
-            | Event::RenewBatch { shard, .. } => shard,
-        }
-    }
-
-    /// The magnitude a histogram sketch aggregates for this kind, if the
-    /// kind has one (pure lease bookkeeping events are count-only).
-    /// Vacate margins are scaled to seconds so they fit a fixed range.
-    pub fn value(&self) -> Option<f64> {
-        match *self {
-            Event::Hop { to_utility, .. } => Some(to_utility),
-            Event::Share { share, .. } => Some(share as f64),
-            Event::PrachHeard { snr_db, .. } => Some(snr_db),
-            Event::CqiInterference { sinr_db, .. } => Some(sinr_db),
-            Event::Pack { to, .. } => Some(to as f64),
-            Event::PawsGrant { .. }
-            | Event::PawsRenew { .. }
-            | Event::PawsVacate { .. }
-            | Event::LeaseRenew { .. }
-            | Event::Recover { .. } => None,
-            Event::PawsVacated { margin_us, .. } => Some(margin_us as f64 / 1e6),
-            Event::FaultInject { kind, .. } => Some(kind as f64),
-            Event::Degrade { step, .. } => Some(step as f64),
-            Event::Sched { owned, .. } => Some(owned as f64),
-            Event::HarqRetx { process, .. } => Some(process as f64),
-            Event::Cull { culled, .. } => Some(culled as f64),
-            Event::ShardOutage { .. } => None,
-            Event::CacheHit { age_us, .. } => Some(age_us as f64 / 1e6),
-            Event::RenewBatch { size, .. } => Some(size as f64),
-        }
     }
 }
 
-/// Kind names indexed by [`Event::kind_code`].
-pub const KIND_NAMES: [&str; N_KINDS] = [
-    "hop",
-    "share",
-    "prach",
-    "cqi_interf",
-    "pack",
-    "paws_grant",
-    "paws_renew",
-    "paws_vacate",
-    "paws_vacated",
-    "fault_inject",
-    "lease_renew",
-    "degrade",
-    "recover",
-    "sched",
-    "harq_retx",
-    "cull",
-    "shard_outage",
-    "cache_hit",
-    "renew_batch",
-];
+/// One event kind's declaration as data: what the doc table, the query
+/// engine's `--entity` filter and the schema tests read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KindSchema {
+    /// The `"ev"` tag.
+    pub name: &'static str,
+    /// The variant's doc comment, one source line per line.
+    pub doc: &'static str,
+    /// JSON keys after `"t"` and `"ev"`, in emission order; the first
+    /// is the primary entity.
+    pub fields: &'static [&'static str],
+    /// The sketched value, `None` for count-only kinds.
+    pub sketch: Option<SketchDecl>,
+}
+
+impl KindSchema {
+    /// The primary entity's JSON key — what `trace-query --entity`
+    /// filters on.
+    pub fn entity_key(&self) -> &'static str {
+        self.fields[0]
+    }
+}
+
+/// What a kind's histogram sketch aggregates, and over which range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SketchDecl {
+    /// The value as declared: a payload field, optionally scaled
+    /// (`margin_us / 1e6` aggregates seconds).
+    pub value: &'static str,
+    /// Inclusive lower edge of bucket 0.
+    pub lo: f64,
+    /// Exclusive upper edge of the last bucket (values above clamp in).
+    pub hi: f64,
+}
+
+/// How a payload field serializes: integers with `{}`, floats through
+/// [`write_f64`].
+trait Payload: Copy + std::fmt::Display {
+    fn write_json(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Payload for u32 {}
+
+impl Payload for u64 {}
+
+impl Payload for f64 {
+    fn write_json(self, out: &mut String) {
+        write_f64(out, self);
+    }
+}
 
 /// Per-kind sketch value range `(lo, hi)` — fixed at compile time so two
 /// sketches for the same kind always have identical bucket edges and
 /// merge bucket-by-bucket.
 pub fn sketch_range(kind_code: u32) -> (f64, f64) {
-    match kind_code {
-        0 => (0.0, 1e8),    // hop: acquired-subchannel utility (bps scale)
-        1 => (0.0, 32.0),   // share: computed share S_i
-        2 => (-40.0, 40.0), // prach: uplink SNR dB
-        3 => (-40.0, 40.0), // cqi_interf: observed SINR dB
-        4 => (0.0, 32.0),   // pack: target subchannel index
-        8 => (0.0, 120.0),  // paws_vacated: margin seconds
-        9 => (0.0, 8.0),    // fault_inject: fault kind code
-        11 => (0.0, 4.0),   // degrade: ladder rung code
-        13 => (0.0, 32.0),  // sched: owned subchannel count
-        14 => (0.0, 16.0),  // harq_retx: HARQ process index
-        15 => (0.0, 64.0),  // cull: culled candidate-AP count
-        17 => (0.0, 16.0),  // cache_hit: replayed-response age seconds
-        18 => (0.0, 256.0), // renew_batch: requests per rate window
-        _ => (0.0, 1.0),    // count-only kinds never bucket a value
+    match SCHEMA.get(kind_code as usize).and_then(|k| k.sketch) {
+        Some(s) => (s.lo, s.hi),
+        None => (0.0, 1.0), // count-only kinds never bucket a value
     }
+}
+
+/// The EXPERIMENTS.md event table, rendered from [`SCHEMA`]: the doc
+/// comments supply the "emitted when" column.
+pub fn schema_markdown() -> String {
+    let mut out = String::from(
+        "| `ev` | code | entity | emitted when | fields | sketch value, range |\n\
+         | --- | --- | --- | --- | --- | --- |\n",
+    );
+    for (code, k) in SCHEMA.iter().enumerate() {
+        let doc = k.doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        let fields: Vec<String> = k.fields.iter().map(|f| format!("`{f}`")).collect();
+        let sketch = match k.sketch {
+            Some(s) => format!("`{}`, {}..{}", s.value, s.lo, s.hi),
+            None => "count only".to_owned(),
+        };
+        let _ = writeln!(
+            out,
+            "| `{}` | {code} | `{}` | {doc} | {} | {sketch} |",
+            k.name,
+            k.entity_key(),
+            fields.join(", ")
+        );
+    }
+    out
 }
 
 /// An event with the simulation tick at which it was observed.
@@ -857,166 +933,7 @@ fn write_f64(out: &mut String, v: f64) {
 
 fn write_record(out: &mut String, r: &Record) {
     let _ = write!(out, "{{\"t\":{}", r.tick_us);
-    match r.event {
-        Event::Hop {
-            cell,
-            from,
-            to,
-            from_utility,
-            to_utility,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"hop\",\"cell\":{cell},\"from\":{from},\"to\":{to},\"from_utility\":"
-            );
-            write_f64(out, from_utility);
-            out.push_str(",\"to_utility\":");
-            write_f64(out, to_utility);
-        }
-        Event::Share {
-            cell,
-            own_active,
-            heard_active,
-            share,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"share\",\"cell\":{cell},\"own\":{own_active},\"heard\":{heard_active},\"share\":{share}"
-            );
-        }
-        Event::PrachHeard { cell, ue, snr_db } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"prach\",\"cell\":{cell},\"ue\":{ue},\"snr_db\":"
-            );
-            write_f64(out, snr_db);
-        }
-        Event::CqiInterference {
-            ue,
-            subchannel,
-            sinr_db,
-            clean_db,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cqi_interf\",\"ue\":{ue},\"sub\":{subchannel},\"sinr_db\":"
-            );
-            write_f64(out, sinr_db);
-            out.push_str(",\"clean_db\":");
-            write_f64(out, clean_db);
-        }
-        Event::Pack { cell, from, to } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"pack\",\"cell\":{cell},\"from\":{from},\"to\":{to}"
-            );
-        }
-        Event::PawsGrant {
-            channel,
-            expires_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_grant\",\"channel\":{channel},\"expires_us\":{expires_us}"
-            );
-        }
-        Event::PawsRenew {
-            channel,
-            expires_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_renew\",\"channel\":{channel},\"expires_us\":{expires_us}"
-            );
-        }
-        Event::PawsVacate {
-            channel,
-            deadline_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_vacate\",\"channel\":{channel},\"deadline_us\":{deadline_us}"
-            );
-        }
-        Event::PawsVacated { channel, margin_us } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_vacated\",\"channel\":{channel},\"margin_us\":{margin_us}"
-            );
-        }
-        Event::FaultInject { cell, kind } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"fault_inject\",\"cell\":{cell},\"kind\":{kind}"
-            );
-        }
-        Event::LeaseRenew {
-            cell,
-            channel,
-            expires_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"lease_renew\",\"cell\":{cell},\"channel\":{channel},\"expires_us\":{expires_us}"
-            );
-        }
-        Event::Degrade {
-            cell,
-            channel,
-            step,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"degrade\",\"cell\":{cell},\"channel\":{channel},\"step\":{step}"
-            );
-        }
-        Event::Recover { cell, channel } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"recover\",\"cell\":{cell},\"channel\":{channel}"
-            );
-        }
-        Event::Sched {
-            cell,
-            mask_bits,
-            owned,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"sched\",\"cell\":{cell},\"mask\":{mask_bits},\"owned\":{owned}"
-            );
-        }
-        Event::HarqRetx { ue, cell, process } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"harq_retx\",\"ue\":{ue},\"cell\":{cell},\"process\":{process}"
-            );
-        }
-        Event::Cull { ue, kept, culled } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cull\",\"ue\":{ue},\"kept\":{kept},\"culled\":{culled}"
-            );
-        }
-        Event::ShardOutage { shard, until_us } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_outage\",\"shard\":{shard},\"until_us\":{until_us}"
-            );
-        }
-        Event::CacheHit { shard, age_us } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cache_hit\",\"shard\":{shard},\"age_us\":{age_us}"
-            );
-        }
-        Event::RenewBatch { shard, size } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"renew_batch\",\"shard\":{shard},\"size\":{size}"
-            );
-        }
-    }
+    r.event.write_payload(out);
     out.push('}');
 }
 
@@ -1324,102 +1241,44 @@ mod tests {
     }
 
     #[test]
-    fn kind_tables_are_consistent() {
-        let samples = [
-            Event::Hop {
-                cell: 0,
-                from: 0,
-                to: 1,
-                from_utility: 0.0,
-                to_utility: 1.0,
-            },
-            Event::Share {
-                cell: 0,
-                own_active: 1,
-                heard_active: 1,
-                share: 1,
-            },
-            Event::PrachHeard {
-                cell: 0,
-                ue: 0,
-                snr_db: 0.0,
-            },
-            cqi(0),
-            Event::Pack {
-                cell: 0,
-                from: 1,
-                to: 0,
-            },
-            Event::PawsGrant {
-                channel: 21,
-                expires_us: 1,
-            },
-            Event::PawsRenew {
-                channel: 21,
-                expires_us: 1,
-            },
-            Event::PawsVacate {
-                channel: 21,
-                deadline_us: 1,
-            },
-            Event::PawsVacated {
-                channel: 21,
-                margin_us: 1,
-            },
-            Event::FaultInject { cell: 0, kind: 0 },
-            Event::LeaseRenew {
-                cell: 0,
-                channel: 21,
-                expires_us: 1,
-            },
-            Event::Degrade {
-                cell: 0,
-                channel: 21,
-                step: 0,
-            },
-            Event::Recover {
-                cell: 0,
-                channel: 21,
-            },
-            Event::Sched {
-                cell: 0,
-                mask_bits: 1,
-                owned: 1,
-            },
-            Event::HarqRetx {
-                ue: 0,
-                cell: 0,
-                process: 0,
-            },
-            Event::Cull {
-                ue: 0,
-                kept: 4,
-                culled: 2,
-            },
-            Event::ShardOutage {
-                shard: 0,
-                until_us: 1,
-            },
-            Event::CacheHit {
-                shard: 0,
-                age_us: 1,
-            },
-            Event::RenewBatch { shard: 0, size: 1 },
-        ];
-        assert_eq!(samples.len(), N_KINDS);
-        for (i, e) in samples.iter().enumerate() {
+    fn every_kind_round_trips_through_the_query_parser() {
+        use crate::query::{parse_line, FieldVal};
+        for (i, (e, k)) in Event::samples().iter().zip(SCHEMA.iter()).enumerate() {
             assert_eq!(e.kind_code() as usize, i, "dense codes in variant order");
             assert_eq!(e.kind(), KIND_NAMES[i]);
-            // The serialized "ev" field matches the kind table.
+            assert_eq!(k.name, KIND_NAMES[i]);
             let mut line = String::new();
             write_record(
                 &mut line,
                 &Record {
-                    tick_us: 0,
+                    tick_us: 5,
                     event: *e,
                 },
             );
-            assert!(line.contains(&format!("\"ev\":\"{}\"", e.kind())), "{line}");
+            let parsed = parse_line(&line).expect("a written record parses");
+            let keys: Vec<&str> = parsed.iter().map(|(key, _)| *key).collect();
+            let mut want = vec!["t", "ev"];
+            want.extend_from_slice(k.fields);
+            assert_eq!(keys, want, "{line}");
+            assert_eq!(parsed[0].1, FieldVal::Num(5.0));
+            assert_eq!(parsed[1].1, FieldVal::Str(e.kind()), "{line}");
+            let entity = parsed.iter().find(|(key, _)| *key == k.entity_key());
+            assert_eq!(
+                entity.map(|(_, v)| v),
+                Some(&FieldVal::Num(f64::from(e.entity()))),
+                "{line}"
+            );
+            // A sketch declaration names a payload field by its wire key,
+            // and only sketched kinds carry a value.
+            assert_eq!(e.value().is_some(), k.sketch.is_some(), "{line}");
+            match k.sketch {
+                Some(s) => {
+                    let field = s.value.split(' ').next().unwrap_or_default();
+                    assert!(k.fields.contains(&field), "{} sketches {field}", k.name);
+                    assert_eq!(sketch_range(i as u32), (s.lo, s.hi));
+                }
+                None => assert_eq!(sketch_range(i as u32), (0.0, 1.0)),
+            }
         }
     }
 

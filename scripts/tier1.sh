@@ -81,6 +81,13 @@ sed -n "/^{/,/^}/p" "$TRACE_TMP/fleet_out.txt" | diff tests/goldens/values_spect
 grep -q "\"ev\":\"renew_batch\"" "$TRACE_TMP/TRACE_spectrum_scale.jsonl"
 grep -q "\"ev\":\"cache_hit\"" "$TRACE_TMP/TRACE_spectrum_scale.jsonl"
 grep -q "\"ev\":\"shard_outage\"" "$TRACE_TMP/TRACE_spectrum_scale.jsonl"
+# trace-query --entity must find what --group-by shows: take a shard
+# with cache hits and require the filtered total to equal its row.
+"$EXP" trace-query "$TRACE_TMP/TRACE_spectrum_scale.jsonl" --kind cache_hit --group-by shard \
+    | awk -F'\t' 'NR > 1 && $1 != "total" && $2 > 0 { print $1, $2; exit }' > "$TRACE_TMP/hit_shard.txt"
+read -r HIT_SHARD HIT_N < "$TRACE_TMP/hit_shard.txt"
+"$EXP" trace-query "$TRACE_TMP/TRACE_spectrum_scale.jsonl" --kind cache_hit --entity "$HIT_SHARD" \
+    | awk -F'\t' -v n="$HIT_N" '$1 == "total" && $2 == n { ok = 1 } END { exit !ok }'
 mv "$TRACE_TMP/TRACE_spectrum_scale.jsonl" "$TRACE_TMP/trace_t1.jsonl"
 mv "$TRACE_TMP/METRICS_spectrum_scale.jsonl" "$TRACE_TMP/metrics_t1.jsonl"
 (cd "$TRACE_TMP" && CELLFI_THREADS=8 "$OLDPWD/$EXP" spectrum_scale --trace --monitors --quick > /dev/null)

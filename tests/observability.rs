@@ -1,11 +1,12 @@
 //! Observability contracts: the sampled trace stream, the histogram
 //! sketches of its remainder, and the invariant-monitor verdicts are
 //! all pure functions of the seed — independent of worker thread count
-//! — and the trace query engine's output over a committed trace is
-//! pinned byte for byte.
+//! — the trace query engine's output over a committed trace is pinned
+//! byte for byte, and EXPERIMENTS.md's event table is the declared
+//! schema, rendered.
 
 use cellfi::obs::query::{run_query, Agg, Query};
-use cellfi::obs::trace::{Event, SampleSpec, SketchSet};
+use cellfi::obs::trace::{schema_markdown, Event, SampleSpec, SketchSet};
 use cellfi::sim::experiments::trace_run::{traced_opts, TraceOptions};
 use cellfi::sim::experiments::ExpConfig;
 use cellfi::sim::parallel::with_threads;
@@ -158,5 +159,17 @@ fn trace_query_on_committed_fig9a_trace_matches_golden() {
     assert!(
         got == golden,
         "trace-query output drifted from tests/goldens/QUERY_fig9a.txt:\n{got}"
+    );
+}
+
+/// EXPERIMENTS.md is the schema golden: its event table must be exactly
+/// what the `trace_schema!` declaration renders, with nothing appended.
+#[test]
+fn experiments_md_event_table_matches_the_declared_schema() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let table = schema_markdown();
+    assert!(
+        doc.contains(&format!("\n{table}\n")),
+        "EXPERIMENTS.md's event table is stale; replace it with:\n{table}"
     );
 }
